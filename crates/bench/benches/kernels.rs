@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dsp::{
-    abscorr, butter, detrend, fft_real, filtfilt, interp1, resample, xcorr_fft, CorrMode,
+    abscorr, butter, detrend, fft_real, filtfilt, interp1, resample, xcorr_fft, CorrMode, FftPlan,
     FilterBand,
 };
 use std::hint::black_box;
@@ -21,13 +21,20 @@ fn signal(n: usize) -> Vec<f64> {
 
 fn bench_fft(c: &mut Criterion) {
     let mut g = c.benchmark_group("fft");
-    for &n in &[1024usize, 4096, 30000] {
-        // 30000 = one paper minute at 500 Hz — a non-power-of-two that
-        // exercises the Bluestein path.
+    // 6000 = a 12 s windowed eval at 500 Hz, 90000 = one interferometry
+    // channel after 1:2 resampling (both 2/3/5-smooth, mixed-radix);
+    // 30011 is prime and still takes the Bluestein path. `fft_real`
+    // builds its plan per call; `plan` reuses one, as the per-channel
+    // loops do.
+    for &n in &[1024usize, 4096, 6000, 30011, 90000] {
         let x = signal(n);
+        let plan = FftPlan::new(n);
         g.throughput(Throughput::Elements(n as u64));
-        g.bench_with_input(BenchmarkId::from_parameter(n), &x, |b, x| {
+        g.bench_with_input(BenchmarkId::new("fft_real", n), &x, |b, x| {
             b.iter(|| fft_real(black_box(x)))
+        });
+        g.bench_with_input(BenchmarkId::new("plan", n), &x, |b, x| {
+            b.iter(|| plan.fft_real(black_box(x)))
         });
     }
     g.finish();

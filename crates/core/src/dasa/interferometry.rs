@@ -14,16 +14,16 @@
 //!
 //! The master channel's spectrum `Mfft` is computed once per process and
 //! shared by all threads — the memory asymmetry between pure-MPI and
-//! hybrid execution that Figure 8 measures.
+//! hybrid execution that Figure 8 measures. The FFT plan for its length
+//! travels with it, so every channel's `Das_fft` reuses one plan.
 
 use super::haee::Haee;
 use crate::{DassaError, Result};
 use arrayudf::{dist, Array2};
-use dsp::{
-    abscorr_complex, butter, detrend, fft_real, filtfilt, ifft, resample, Complex, FilterBand,
-};
+use dsp::{abscorr_complex, butter, detrend, filtfilt, resample, Complex, FftPlan, FilterBand};
 use minimpi::Comm;
 use omp::SharedSlice;
+use std::borrow::Cow;
 
 /// Pipeline parameters for Algorithm 3.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,14 +53,38 @@ impl Default for InterferometryParams {
     }
 }
 
-/// The master channel, fully pre-processed and transformed — `Mfft`.
+/// The master channel, fully pre-processed and transformed — `Mfft` —
+/// with the FFT plan for its length, shared by every channel's transform.
 #[derive(Debug, Clone)]
 pub struct MasterSpectrum {
     /// Complex spectrum of the pre-processed master channel.
     pub spectrum: Vec<Complex>,
+    plan: FftPlan,
 }
 
 impl MasterSpectrum {
+    /// Wrap a master spectrum, e.g. one received by broadcast, and plan
+    /// transforms of its length.
+    pub fn new(spectrum: Vec<Complex>) -> MasterSpectrum {
+        let plan = FftPlan::new(spectrum.len());
+        MasterSpectrum { spectrum, plan }
+    }
+
+    /// The shared plan when `n` is the master's length, else a new one.
+    fn plan_for(&self, n: usize) -> Cow<'_, FftPlan> {
+        if n == self.plan.len() {
+            Cow::Borrowed(&self.plan)
+        } else {
+            Cow::Owned(FftPlan::new(n))
+        }
+    }
+
+    /// Spectrum of one raw channel, pre-processed like the master.
+    fn channel_spectrum(&self, raw: &[f64], p: &InterferometryParams) -> Vec<Complex> {
+        let x = preprocess_channel(raw, p);
+        self.plan_for(x.len()).fft_real(&x)
+    }
+
     /// Resident size in bytes — the quantity duplicated per process in
     /// pure-MPI mode (Figure 8's memory accounting).
     pub fn bytes(&self) -> u64 {
@@ -79,16 +103,18 @@ pub fn preprocess_channel(x: &[f64], p: &InterferometryParams) -> Vec<f64> {
 
 /// Compute `Mfft` from the master channel's raw time series.
 pub fn prepare_master(raw_master: &[f64], p: &InterferometryParams) -> MasterSpectrum {
+    let x = preprocess_channel(raw_master, p);
+    let plan = FftPlan::new(x.len());
     MasterSpectrum {
-        spectrum: fft_real(&preprocess_channel(raw_master, p)),
+        spectrum: plan.fft_real(&x),
+        plan,
     }
 }
 
 /// Algorithm 3's per-channel UDF: pre-process, FFT, correlate with the
 /// master spectrum. Returns `|cos θ|` between the two spectra.
 pub fn interferometry_udf(raw: &[f64], master: &MasterSpectrum, p: &InterferometryParams) -> f64 {
-    let spectrum = fft_real(&preprocess_channel(raw, p));
-    abscorr_complex(&spectrum, &master.spectrum)
+    abscorr_complex(&master.channel_spectrum(raw, p), &master.spectrum)
 }
 
 /// Run the interferometry pipeline over every channel with the hybrid
@@ -154,9 +180,7 @@ pub fn interferometry_dist(
     } else {
         None
     };
-    let master = MasterSpectrum {
-        spectrum: comm.bcast(owner, payload),
-    };
+    let master = MasterSpectrum::new(comm.bcast(owner, payload));
 
     let out: SharedSlice<f64> = SharedSlice::zeroed(local.rows());
     omp::parallel(haee.threads_per_process, |ctx| {
@@ -177,12 +201,12 @@ pub fn cross_correlation_with_master(
     master: &MasterSpectrum,
     p: &InterferometryParams,
 ) -> Vec<f64> {
-    let spectrum = fft_real(&preprocess_channel(raw, p));
+    let spectrum = master.channel_spectrum(raw, p);
     let n = spectrum.len().min(master.spectrum.len());
     let prod: Vec<Complex> = (0..n)
         .map(|k| master.spectrum[k].conj() * spectrum[k])
         .collect();
-    let corr = ifft(&prod);
+    let corr = master.plan_for(n).ifft(&prod);
     // fftshift so lag 0 sits in the middle.
     let mut out: Vec<f64> = corr.iter().map(|z| z.re).collect();
     out.rotate_right(n / 2);

@@ -17,7 +17,7 @@ use super::haee::Haee;
 use crate::{DassaError, Result};
 use arrayudf::{Array2, Array3};
 use dsp::{
-    butter, detrend, filtfilt, ifft_real, one_bit, running_abs_mean, whiten, Complex, FilterBand,
+    butter, detrend, filtfilt, one_bit, running_abs_mean, whiten, Complex, FftPlan, FilterBand,
 };
 use omp::SharedSlice;
 
@@ -138,26 +138,29 @@ impl StackedCorrelation {
 
 /// Pre-computed master-channel window spectra, shared per process —
 /// the same memory-sharing story as Algorithm 3's `Mfft`, but one
-/// spectrum per window.
+/// spectrum per window — and the FFT plan for the window length.
 #[derive(Debug, Clone)]
 pub struct MasterWindows {
     spectra: Vec<Vec<Complex>>,
     params: StackingParams,
+    plan: FftPlan,
 }
 
 /// Prepare every window of the master channel.
 pub fn prepare_master_windows(master_raw: &[f64], p: &StackingParams) -> MasterWindows {
     let n_win = p.n_windows(master_raw.len());
+    let plan = FftPlan::new(p.window);
     let spectra = (0..n_win)
         .map(|w| {
             let start = w * p.hop;
             let prepared = prepare_window(&master_raw[start..start + p.window], p);
-            dsp::fft_real(&prepared)
+            plan.fft_real(&prepared)
         })
         .collect();
     MasterWindows {
         spectra,
         params: *p,
+        plan,
     }
 }
 
@@ -170,7 +173,7 @@ pub fn stack_channel(raw: &[f64], master: &MasterWindows) -> StackedCorrelation 
     for w in 0..n_win {
         let start = w * p.hop;
         let prepared = prepare_window(&raw[start..start + len], p);
-        let spec = dsp::fft_real(&prepared);
+        let spec = master.plan.fft_real(&prepared);
         let mspec = &master.spectra[w];
         // Circular cross-correlation via IFFT(M* · S).
         let prod: Vec<Complex> = mspec
@@ -178,7 +181,7 @@ pub fn stack_channel(raw: &[f64], master: &MasterWindows) -> StackedCorrelation 
             .zip(&spec)
             .map(|(&m, &s)| m.conj() * s)
             .collect();
-        let corr = ifft_real(&prod);
+        let corr = master.plan.ifft_real(&prod);
         // fftshift: zero lag at the centre, then accumulate.
         for (i, v) in corr.iter().enumerate() {
             let shifted = (i + len / 2) % len;
@@ -283,13 +286,13 @@ pub fn stacked_interferometry_3d(
             for w in 0..n_win.min(params.n_windows(raw.len())) {
                 let start = w * params.hop;
                 let prepared = prepare_window(&raw[start..start + len], params);
-                let spec = dsp::fft_real(&prepared);
+                let spec = master.plan.fft_real(&prepared);
                 let prod: Vec<Complex> = master.spectra[w]
                     .iter()
                     .zip(&spec)
                     .map(|(&m, &s)| m.conj() * s)
                     .collect();
-                let corr = dsp::ifft_real(&prod);
+                let corr = master.plan.ifft_real(&prod);
                 for (i, v) in corr.iter().enumerate() {
                     let lag = (i + len / 2) % len; // fftshift
                                                    // SAFETY: (ch, lag, w) cells are owned by this thread

@@ -1,7 +1,9 @@
 //! End-to-end `dasl` pipeline tests: a compiled program, run against a
 //! real on-disk corpus through `IoPlan::for_load` and the `IoExecutor`,
 //! must be *byte-identical* to the hand-wired analysis it describes —
-//! and the bytecode must show the promised fusion.
+//! and the bytecode must show the promised fusion. (The run-time
+//! `dasl.fused_stages` counter is checked in `fusion_counter.rs`, alone
+//! in its process.)
 
 use dassa::prelude::*;
 
@@ -68,15 +70,12 @@ fn program_through_ioplan_matches_hand_wired_interferometry() {
     let data: Vec<f64> = block.as_slice().iter().map(|&v| v as f64).collect();
     let data = arrayudf::Array2::from_vec(block.rows(), block.cols(), data);
 
-    let before = obs::global().snapshot().counter("dasl.fused_stages");
     let prog_out = dasa::run(
         &program.bind(vca.sampling_hz() as f64),
         &data,
         &Haee::builder().threads(2).build(),
     )
     .expect("program");
-    let after = obs::global().snapshot().counter("dasl.fused_stages");
-    assert_eq!(after - before, 2, "execution bumps the fusion counter");
 
     // Byte-identical: same reads, same kernels, same order → same bits.
     match (&hand, &prog_out) {

@@ -18,7 +18,9 @@
 //! Everything is a pure function over slices — no global state, no
 //! interior mutability — which is exactly the thread-safety contract the
 //! paper's hybrid execution engine (HAEE) relies on when it fans a UDF
-//! out across OpenMP threads.
+//! out across OpenMP threads. An [`FftPlan`] is a plain immutable value
+//! built by the caller, not a cache: per-channel loops build one before
+//! the thread team and share `&plan`.
 
 pub mod butter;
 pub mod complex;
@@ -40,7 +42,7 @@ pub use butter::{butter, FilterBand};
 pub use complex::Complex;
 pub use correlate::{abscorr, abscorr_complex, xcorr_direct, xcorr_fft, CorrMode};
 pub use detrend::{detrend, detrend_constant};
-pub use fft::{fft, fft_real, ifft, ifft_real, next_pow2};
+pub use fft::{fft, fft_real, ifft, ifft_real, next_pow2, FftPlan};
 pub use filter::{filtfilt, lfilter, lfilter_zi};
 pub use hilbert::{analytic, envelope, instantaneous_phase};
 pub use interp::interp1;

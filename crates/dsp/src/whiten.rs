@@ -5,7 +5,7 @@
 //! noise correlations).
 
 use crate::complex::Complex;
-use crate::fft::{fft_real, ifft};
+use crate::fft::FftPlan;
 
 /// Whiten `x` between normalized frequencies `f_lo..f_hi` (fractions of
 /// Nyquist, `0..1`): unit amplitude with original phase inside the
@@ -23,7 +23,8 @@ pub fn whiten(x: &[f64], f_lo: f64, f_hi: f64, taper: f64) -> Vec<f64> {
     if n == 0 {
         return Vec::new();
     }
-    let mut spec = fft_real(x);
+    let plan = FftPlan::new(n);
+    let mut spec = plan.fft_real(x);
     // Water level: bins far below the spectral peak are numerical noise
     // with arbitrary phase; normalizing them to unit amplitude would
     // inject garbage. Divide by max(|S|, ε·max|S|) instead.
@@ -42,7 +43,7 @@ pub fn whiten(x: &[f64], f_lo: f64, f_hi: f64, taper: f64) -> Vec<f64> {
             Complex::ZERO
         };
     }
-    ifft(&spec).iter().map(|z| z.re).collect()
+    plan.ifft_real(&spec)
 }
 
 /// Cosine-tapered band weight: 1 inside `[lo, hi]`, 0 outside

@@ -3,7 +3,7 @@
 
 use dsp::{
     abscorr, butter, detrend, detrend_constant, fft, fft_real, filtfilt, ifft, interp1, resample,
-    xcorr_direct, xcorr_fft, Complex, CorrMode, FilterBand,
+    xcorr_direct, xcorr_fft, Complex, CorrMode, FftPlan, FilterBand,
 };
 use proptest::prelude::*;
 
@@ -29,6 +29,40 @@ proptest! {
         let t: f64 = x.iter().map(|v| v * v).sum();
         let f: f64 = spec.iter().map(|z| z.norm_sqr()).sum::<f64>() / x.len() as f64;
         prop_assert!((t - f).abs() < 1e-6 * (1.0 + t));
+    }
+
+    /// Random 2/3/5-smooth lengths (the mixed-radix path, plus a few
+    /// powers of two) against a naive DFT, with the real-input path and
+    /// the round trip checked on the same signal.
+    #[test]
+    fn mixed_radix_matches_naive_dft(
+        a in 0u32..6,
+        b in 0u32..4,
+        c in 0u32..4,
+        seed in 0u64..1_000_000,
+    ) {
+        let n = 2usize.pow(a) * 3usize.pow(b) * 5usize.pow(c);
+        prop_assume!(n <= 600);
+        let x: Vec<f64> = (0..n)
+            .map(|i| (((seed + i as u64 * 7919) % 2001) as f64 - 1000.0) / 100.0)
+            .collect();
+        let cx: Vec<Complex> = x.iter().map(|&v| Complex::real(v)).collect();
+        let plan = FftPlan::new(n);
+        let spec = plan.fft(&cx);
+        let scale = 1.0 + spec.iter().map(|z| z.abs()).fold(0.0, f64::max);
+        for (k, got) in spec.iter().enumerate() {
+            let want = (0..n).fold(Complex::ZERO, |acc, j| {
+                let ang = -2.0 * std::f64::consts::PI * ((k * j) % n) as f64 / n as f64;
+                acc + cx[j] * Complex::cis(ang)
+            });
+            prop_assert!((*got - want).abs() < 1e-11 * scale, "n={} bin {}", n, k);
+        }
+        for (r, c) in plan.fft_real(&x).iter().zip(&spec) {
+            prop_assert!((*r - *c).abs() < 1e-12 * scale, "n={} real path", n);
+        }
+        for (back, orig) in plan.ifft_real(&spec).iter().zip(&x) {
+            prop_assert!((back - orig).abs() < 1e-12 * (1.0 + scale), "n={} round trip", n);
+        }
     }
 
     #[test]
